@@ -23,14 +23,17 @@ FUZZTIME ?= 30s
 
 check: vet build race alloc-budget sched-order diff scenarios cachebench defense-check docs bench-obs server-check
 
-# Defense-architecture gate (DESIGN.md §14): the mechanism registry is
-# exhaustive (every mechanism addressable and round-tripping through
-# the stack parser), the legacy 11-strategy matrix/sweep renders and
-# canonical spec hashes are byte-identical to the pinned goldens, and
-# the two post-paper mechanisms (recompute, isolate) each close their
-# previously leaking cell at reduced trial counts.
+# Defense-architecture gate (DESIGN.md §14): the mechanism catalog is
+# exhaustive (every mechanism addressable, round-tripping through the
+# stack parser and the JSON codec, and engaging at least one capability
+# interface), vpdefense's catalog listing matches its goldens, the
+# legacy 11-strategy matrix/sweep renders and canonical spec hashes are
+# byte-identical to the pinned goldens, and the two post-paper
+# mechanisms (recompute, isolate) each close their previously leaking
+# cell at reduced trial counts.
 defense-check:
-	$(GO) test ./internal/defense -count=1
+	$(GO) test ./internal/attacks -run 'TestMechanismCatalogExhaustive|TestParseStackErrors|TestOptionsDefenseJSON|TestDefenseStackBasics' -count=1
+	$(GO) test ./cmd/vpdefense ./internal/defense -count=1
 	$(GO) test ./internal/scenario -run 'TestDefenseMatrixGolden|TestDefenseSweepGolden|TestSpecHashesGolden' -count=1
 
 # Experiment-server gate: build cmd/vpserver, then run the end-to-end

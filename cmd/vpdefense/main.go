@@ -16,12 +16,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"vpsec/cmd/internal/scencli"
+	"vpsec/internal/attacks"
 	"vpsec/internal/defense"
 	"vpsec/internal/metrics"
 	"vpsec/internal/scenario"
@@ -164,16 +166,16 @@ func main() {
 	writeObservability()
 }
 
-// printStrategies renders the registered mechanism catalog and the
-// named strategy tables.
-func printStrategies(w *os.File) {
+// printStrategies renders the mechanism catalog and the named strategy
+// tables.
+func printStrategies(w io.Writer) {
 	fmt.Fprintln(w, "Mechanisms (compose with '+', e.g. -describe-strategy \"A+R(5)+recompute\"):")
-	for _, d := range defense.Mechanisms() {
-		tok := d.Token
-		if d.TakesArg {
+	for _, e := range attacks.Catalog() {
+		tok := e.Token
+		if e.TakesArg {
 			tok += "(w)"
 		}
-		fmt.Fprintf(w, "  %-10s %-18s %s\n", tok, "["+d.Hooks.String()+"]", d.Summary)
+		fmt.Fprintf(w, "  %-10s %-18s %s\n", tok, hookLabel(e.Build(0)), e.Summary)
 	}
 	fmt.Fprintln(w, "\nNamed strategies (Sec. VI-B catalog):")
 	for _, s := range defense.Strategies() {
@@ -187,7 +189,7 @@ func printStrategies(w *os.File) {
 
 // describeStrategy resolves a strategy name or stack string and prints
 // the mechanisms it composes, in application order.
-func describeStrategy(w *os.File, name string) error {
+func describeStrategy(w io.Writer, name string) error {
 	s, err := defense.StrategyNamed(name)
 	if err != nil {
 		return err
@@ -199,15 +201,28 @@ func describeStrategy(w *os.File, name string) error {
 		return nil
 	}
 	for _, m := range s.Stack {
-		summary := ""
-		base := m.DefenseName()
-		if j := strings.IndexByte(base, '('); j >= 0 {
-			base = base[:j]
-		}
-		if d, ok := defense.MechanismFor(base); ok {
-			summary = d.Summary
-		}
-		fmt.Fprintf(w, "  %-10s %-18s %s\n", m.DefenseName(), "["+m.Hooks().String()+"]", summary)
+		base, _, _ := strings.Cut(m.DefenseName(), "(")
+		e, _ := attacks.LookupMechanism(base)
+		fmt.Fprintf(w, "  %-10s %-18s %s\n", m.DefenseName(), hookLabel(m), e.Summary)
 	}
 	return nil
+}
+
+// hookLabel names the harness hooks a mechanism engages, read off the
+// capability interfaces it implements: "[predictor]", "[pipeline]",
+// "[context]", "+"-joined.
+func hookLabel(m attacks.Mechanism) string {
+	var hooks []string
+	if _, ok := m.(attacks.PredictorWrapper); ok {
+		hooks = append(hooks, "predictor")
+	}
+	if _, ok := m.(attacks.EffectsMechanism); ok {
+		hooks = append(hooks, "pipeline")
+	}
+	_, sw := m.(attacks.ContextSwitcher)
+	_, tg := m.(attacks.ContextTagger)
+	if sw || tg {
+		hooks = append(hooks, "context")
+	}
+	return "[" + strings.Join(hooks, "+") + "]"
 }

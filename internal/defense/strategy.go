@@ -64,7 +64,7 @@ func StrategyNamed(name string) (Strategy, error) {
 			return s, nil
 		}
 	}
-	stack, err := ParseStack(name)
+	stack, err := attacks.ParseStack(name)
 	if err != nil {
 		return Strategy{}, fmt.Errorf("defense: unknown strategy %q: %v", name, err)
 	}

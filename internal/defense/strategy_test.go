@@ -8,66 +8,8 @@ import (
 	"vpsec/internal/core"
 )
 
-// TestMechanismRegistryExhaustive: every registered mechanism is
-// reachable through StrategyNamed, and its canonical token round-trips
-// through ParseStack and DefenseStack.String. A mechanism someone
-// registers but forgets to make addressable — or whose token parses
-// into a different mechanism — fails here.
-func TestMechanismRegistryExhaustive(t *testing.T) {
-	for _, d := range Mechanisms() {
-		token := d.Token
-		if d.TakesArg {
-			token += "(5)"
-		}
-		s, err := StrategyNamed(token)
-		if err != nil {
-			t.Errorf("mechanism %q not reachable via StrategyNamed: %v", token, err)
-			continue
-		}
-		if len(s.Stack) != 1 {
-			t.Errorf("StrategyNamed(%q) stack = %s, want a single mechanism", token, s.Stack)
-			continue
-		}
-		m := s.Stack[0]
-		if got := m.DefenseName(); got != token {
-			t.Errorf("mechanism %q renders as %q", token, got)
-		}
-		if got := m.Hooks(); got != d.Hooks {
-			t.Errorf("mechanism %q hooks = %b, descriptor says %b", token, got, d.Hooks)
-		}
-		// Round-trip: parse the rendered form, render again.
-		back, err := ParseStack(m.DefenseName())
-		if err != nil {
-			t.Errorf("ParseStack(%q): %v", m.DefenseName(), err)
-			continue
-		}
-		if back.String() != m.DefenseName() {
-			t.Errorf("round-trip %q -> %q", m.DefenseName(), back.String())
-		}
-		// Every hook bit must come with the matching capability interface.
-		if d.Hooks&attacks.HookPredictor != 0 {
-			if _, ok := m.(attacks.PredictorWrapper); !ok {
-				t.Errorf("mechanism %q declares HookPredictor but is no PredictorWrapper", token)
-			}
-		}
-		if d.Hooks&attacks.HookPipeline != 0 {
-			if _, ok := m.(attacks.EffectsMechanism); !ok {
-				t.Errorf("mechanism %q declares HookPipeline but is no EffectsMechanism", token)
-			}
-		}
-		if d.Hooks&attacks.HookContext != 0 {
-			_, sw := m.(attacks.ContextSwitcher)
-			_, tg := m.(attacks.ContextTagger)
-			if !sw && !tg {
-				t.Errorf("mechanism %q declares HookContext but implements no context capability", token)
-			}
-		}
-	}
-}
-
 // TestEveryNamedStrategyParses: the named catalogs build valid stacks,
-// and each stack survives a JSON round trip through the registered
-// parser.
+// and each stack survives a JSON round trip.
 func TestEveryNamedStrategyParses(t *testing.T) {
 	for _, s := range append(Strategies(), ExtendedStrategies()...) {
 		if err := s.Stack.Validate(); err != nil {
@@ -84,26 +26,6 @@ func TestEveryNamedStrategyParses(t *testing.T) {
 		if back.String() != s.Stack.String() {
 			t.Errorf("strategy %q: JSON round-trip %q -> %q", s.Name, s.Stack, back)
 		}
-	}
-}
-
-func TestParseStackErrors(t *testing.T) {
-	for _, bad := range []string{
-		"B",           // unknown mechanism
-		"R",           // missing argument
-		"A(3)",        // argument on an argument-less mechanism
-		"R(x)",        // malformed argument
-		"R(3",         // unbalanced parens
-		"D+D",         // duplicate mechanism
-		"D+recompute", // conflicting effects policies
-		"R(-2)",       // negative window
-	} {
-		if _, err := ParseStack(bad); err == nil {
-			t.Errorf("ParseStack(%q) should fail", bad)
-		}
-	}
-	if st, err := ParseStack("none"); err != nil || st != nil {
-		t.Errorf("ParseStack(none) = %v, %v; want empty stack", st, err)
 	}
 }
 

@@ -170,10 +170,11 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Cont
 				defer wspan.End()
 			}
 			for i := range work {
-				if ctx.Err() != nil {
+				if err := ctx.Err(); err != nil {
 					if wspan.Traced() {
 						wspan.Event("skip", obs.Int("item", i))
 					}
+					errs[i] = err
 					continue // drain the queue after cancellation
 				}
 				var tspan obs.Span
@@ -210,6 +211,7 @@ feed:
 			if mspan.Traced() {
 				mspan.Event("cancel", obs.Int("item", i))
 			}
+			errs[i] = ctx.Err() // items from i on never ran
 			break feed
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vpsec/internal/metrics"
 )
@@ -133,6 +134,29 @@ func TestMapCancel(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestMapDeadlineNeverPartial: a deadline that expires mid-map is an
+// error, never a success with zero-filled outputs — even though the
+// items ignore ctx and every item that started finishes normally. With
+// 200 items of at least 1ms, some worker of 8 sleeps through 25 of
+// them in sequence, so the 20ms deadline always fires first.
+func TestMapDeadlineNeverPartial(t *testing.T) {
+	sleep := func(_ context.Context, i int, _ *metrics.Registry) (int, error) {
+		time.Sleep(time.Millisecond)
+		return i + 1, nil
+	}
+	for _, jobs := range []int{2, 8} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		out, err := Map(ctx, Config{Jobs: jobs}, 200, sleep)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("jobs=%d: err = %v, want context.DeadlineExceeded", jobs, err)
+		}
+		if out != nil {
+			t.Errorf("jobs=%d: partial results returned alongside err = %v", jobs, err)
+		}
 	}
 }
 
