@@ -55,21 +55,21 @@ scenarios:
 	$(GO) test ./internal/scenario -run 'TestRegistryGolden|TestRoundTrip|TestRegistryCoverage|TestRegisteredScenariosExecute|TestRegistryHashRoundTrip|TestRegistryExecuteJobsInvariance' -count=1
 
 # Cache-vulnerability benchmark gate: the three-step taxonomy package
-# (enumeration, lowering, statistics) plus the golden-pinned
-# `vpreport -scenario cachebench-matrix` artifact. The shrunk curated
-# matrix runs always; CACHEBENCH_FULL=1 additionally evaluates all 976
-# enumerated cases at the paper's sample size.
+# (enumeration, lowering, statistics, and the full 976-case family at
+# the paper's sample size) plus the golden-pinned
+# `vpreport -scenario cachebench-matrix` artifact.
 cachebench:
 	$(GO) test ./internal/cachebench -count=1
 	$(GO) test ./internal/scenario -run 'TestCacheMatrixGolden|TestCacheMatrixHashJobsInvariant' -count=1
 
-# Steady-state allocation budgets of the simulator hot loop and the
-# batched trial driver (DESIGN.md §10). Runs without -race: the race
-# detector instruments allocations and the tests exclude themselves
-# under that build tag.
+# Steady-state allocation budgets of the simulator hot loop, the
+# batched trial driver (DESIGN.md §10) and the cache-benchmark trial.
+# Runs without -race: the race detector instruments allocations and
+# the tests exclude themselves under that build tag.
 alloc-budget:
 	$(GO) test ./internal/cpu -run TestMachineRunSteadyStateAllocs -count=1
 	$(GO) test ./internal/attacks -run TestBatchedTrialDisabledPathAllocs -count=1
+	$(GO) test ./internal/cachebench -run TestTrialSteadyStateAllocs -count=1
 
 # Bitmap-scheduler ordering gate: within a cycle, issue must stay
 # strictly oldest-first (the contract the old seq-sorted ready list

@@ -319,10 +319,9 @@ func newEnvWith(opt *Options, seed int64, held *trialState) (*env, error) {
 		ts = &trialState{rng: rand.New(xrand.NewSource(seed))}
 	} else {
 		// Rand.Seed re-arms the pooled xrand source to exactly the
-		// stream a fresh rand.New(rand.NewSource(seed)) would produce —
-		// a memo-cache state copy when the source has seen this seed
-		// before (the common case: trial seeds are a pure function of
-		// (base seed, index) and recur across cases).
+		// stream a fresh rand.New(rand.NewSource(seed)) would produce,
+		// in O(1): the source computes register words from the seed as
+		// the trial first reads them.
 		ts.rng.Seed(seed)
 	}
 	rng := ts.rng

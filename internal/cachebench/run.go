@@ -5,7 +5,10 @@
 // loads/flushes around rdtsc pairs; the full out-of-order machine in
 // internal/cpu would add predictor and pipeline effects that are the
 // *subject* of the source paper but confounders here — the benchmark
-// paper's three-step model is about cache state alone.
+// paper's three-step model is about cache state alone. The stepper's
+// jitter draws come from a pooled internal/xrand source, re-seeded per
+// trial: stream-identical to a fresh math/rand source, without
+// math/rand's per-seed register fill or allocation.
 
 package cachebench
 
@@ -17,6 +20,7 @@ import (
 	"vpsec/internal/cpu"
 	"vpsec/internal/isa"
 	"vpsec/internal/mem"
+	"vpsec/internal/xrand"
 )
 
 // Flush latency model: clflush costs FlushLatency cycles, plus
@@ -51,10 +55,18 @@ func newHierarchy() *mem.Hierarchy {
 	return &mem.Hierarchy{L1: l1, L2: l2, Mem: mem.NewMemory(150)}
 }
 
-// hierPool recycles hierarchies across trials: a family run executes
-// hundreds of thousands of short programs, and the line arrays and
-// memory pages dominate per-trial allocation otherwise.
-var hierPool = sync.Pool{New: func() any { return newHierarchy() }}
+// trialRig is the pooled per-trial machinery: a hierarchy and the
+// jitter generator. A family run executes hundreds of thousands of
+// short programs, and the line arrays, memory pages and generator state
+// would dominate per-trial allocation otherwise.
+type trialRig struct {
+	h   *mem.Hierarchy
+	rng *rand.Rand
+}
+
+var rigPool = sync.Pool{New: func() any {
+	return &trialRig{h: newHierarchy(), rng: rand.New(xrand.NewSource(0))}
+}}
 
 // Trial executes one arm of the pattern's program pair under the given
 // seed and noise model, returning the cycle count the program measured
@@ -65,16 +77,16 @@ func (p Pattern) Trial(mapped bool, seed int64, noise cpu.Noise) (uint64, error)
 	if err != nil {
 		return 0, err
 	}
-	h := hierPool.Get().(*mem.Hierarchy)
+	rig := rigPool.Get().(*trialRig)
 	defer func() {
-		h.Reset()
-		hierPool.Put(h)
+		rig.h.Reset()
+		rigPool.Put(rig)
 	}()
-	rng := rand.New(rand.NewSource(seed))
-	if err := runProgram(prog, h, rng, noise); err != nil {
+	rig.rng.Seed(seed)
+	if err := runProgram(prog, rig.h, rig.rng, noise); err != nil {
 		return 0, err
 	}
-	return h.Mem.Peek(ResultAddr), nil
+	return rig.h.Mem.Peek(ResultAddr), nil
 }
 
 // runProgram interprets a straight-line benchmark program: one cycle

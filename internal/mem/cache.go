@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+
+	"vpsec/internal/xrand"
 )
 
 // Policy selects a cache replacement policy.
@@ -134,7 +136,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		setMask:   uint64(cfg.Sets - 1),
 	}
 	if cfg.Policy == Random {
-		c.rng = rand.New(rand.NewSource(cfg.Seed))
+		c.rng = rand.New(xrand.NewSource(cfg.Seed))
 	}
 	return c, nil
 }
@@ -285,7 +287,7 @@ func (c *Cache) Reset() {
 	c.tick = 0
 	c.Stats.Reset()
 	if c.cfg.Policy == Random {
-		c.rng = rand.New(rand.NewSource(c.cfg.Seed))
+		c.rng.Seed(c.cfg.Seed)
 	}
 }
 

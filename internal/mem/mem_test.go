@@ -510,3 +510,39 @@ func TestNewMulticoreShapes(t *testing.T) {
 		t.Error("n<1 should clamp to one core")
 	}
 }
+
+// TestRandomResetMatchesFresh: after Reset, a used Random-policy cache
+// evicts exactly the victims a newly built one would — the replacement
+// generator restarts its seeded stream.
+func TestRandomResetMatchesFresh(t *testing.T) {
+	cfg := CacheConfig{Name: "r", Sets: 2, Ways: 4, LineBytes: 64, HitLatency: 3, Policy: Random, Seed: 5}
+	evictions := func(c *Cache) []uint64 {
+		var out []uint64
+		for i := uint64(0); i < 300; i++ {
+			if ev, was := c.Insert(i * 64); was {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	used, err := NewCache(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewCache(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := evictions(fresh)
+	evictions(used)
+	used.Reset()
+	got := evictions(used)
+	if len(got) != len(want) {
+		t.Fatalf("reset cache evicted %d lines, fresh %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("eviction %d: reset cache evicted %#x, fresh %#x", i, got[i], want[i])
+		}
+	}
+}

@@ -3,6 +3,8 @@ package predictor
 import (
 	"fmt"
 	"math/rand"
+
+	"vpsec/internal/xrand"
 )
 
 // LVPConfig parameterizes a last value predictor.
@@ -84,7 +86,7 @@ func NewLVP(cfg LVPConfig) (*LVP, error) {
 	cfg.setDefaults()
 	p := &LVP{cfg: cfg, table: make(map[key]*lvpEntry)}
 	if cfg.FPC > 1 {
-		p.rng = rand.New(rand.NewSource(cfg.FPCSeed))
+		p.rng = rand.New(xrand.NewSource(cfg.FPCSeed))
 	}
 	return p, nil
 }
@@ -141,7 +143,7 @@ func (p *LVP) Update(ctx Context, actual uint64, pred Prediction) {
 	// restarts the count at one observation — below any threshold >= 2,
 	// i.e. "no prediction" (Sec. IV-A).
 	if ok && e.value == actual {
-		if e.confidence < p.cfg.MaxConf && (p.rng == nil || p.rng.Intn(p.cfg.FPC) == 0) {
+		if e.confidence < p.cfg.MaxConf && (p.cfg.FPC <= 1 || p.rng.Intn(p.cfg.FPC) == 0) {
 			e.confidence++
 		}
 	} else {
@@ -220,9 +222,15 @@ func (p *LVP) Reconfigure(cfg LVPConfig) error {
 	p.cfg = cfg
 	p.tick = 0
 	p.stats = Stats{}
-	p.rng = nil
 	if cfg.FPC > 1 {
-		p.rng = rand.New(rand.NewSource(cfg.FPCSeed))
+		// A held generator is re-seeded, not rebuilt: the stream is the
+		// same and the reconfigure allocates nothing. Below FPC 2 the
+		// generator is never drawn from, so it may stay held.
+		if p.rng == nil {
+			p.rng = rand.New(xrand.NewSource(cfg.FPCSeed))
+		} else {
+			p.rng.Seed(cfg.FPCSeed)
+		}
 	}
 	return nil
 }

@@ -566,3 +566,39 @@ func TestVTAGEProbabilisticConfidence(t *testing.T) {
 		t.Error("FPC confidence built as fast as deterministic counters")
 	}
 }
+
+// TestLVPReconfigureMatchesFresh: a recycled LVP reconfigured to cfg
+// behaves exactly like NewLVP(cfg), including the FPC generator's
+// stream, whatever configurations — with and without FPC — it went
+// through before.
+func TestLVPReconfigureMatchesFresh(t *testing.T) {
+	// run drives a fixed access pattern and records every prediction.
+	run := func(p *LVP) []Prediction {
+		var out []Prediction
+		for i := 0; i < 600; i++ {
+			ctx := Context{PC: 0x40 + uint64(i%5)*4, Addr: 0x1000}
+			pred := p.Predict(ctx)
+			out = append(out, pred)
+			p.Update(ctx, uint64(i/37), pred)
+		}
+		return out
+	}
+	recycled := newLVP(t, LVPConfig{Confidence: 2})
+	for _, cfg := range []LVPConfig{
+		{Confidence: 2, FPC: 4, FPCSeed: 1},
+		{Confidence: 2},
+		{Confidence: 2, FPC: 4, FPCSeed: 9},
+		{Confidence: 3, FPC: 8, FPCSeed: 9},
+		{Confidence: 3, FPC: 8, FPCSeed: 9},
+	} {
+		if err := recycled.Reconfigure(cfg); err != nil {
+			t.Fatal(err)
+		}
+		got, want := run(recycled), run(newLVP(t, cfg))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v access %d: reconfigured predicts %+v, fresh %+v", cfg, i, got[i], want[i])
+			}
+		}
+	}
+}

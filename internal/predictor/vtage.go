@@ -3,6 +3,8 @@ package predictor
 import (
 	"fmt"
 	"math/rand"
+
+	"vpsec/internal/xrand"
 )
 
 // VTAGEConfig parameterizes the VTAGE predictor [Perais & Seznec,
@@ -113,7 +115,7 @@ func NewVTAGE(cfg VTAGEConfig) (*VTAGE, error) {
 	}
 	v := &VTAGE{cfg: cfg, base: base}
 	if cfg.FPC > 1 {
-		v.rng = rand.New(rand.NewSource(cfg.FPCSeed))
+		v.rng = rand.New(xrand.NewSource(cfg.FPCSeed))
 	}
 	v.tagged = make([][]vtageEntry, cfg.NumTagged)
 	v.hists = make([]int, cfg.NumTagged)

@@ -422,6 +422,19 @@ func (s *Server) waitBudget(timeoutMS int) time.Duration {
 	return d
 }
 
+// wait blocks until done closes or the request's wait budget expires.
+// The timer is stopped on return: under the module's go 1.22 timer
+// rules an unstopped timer stays live until it fires, so time.After
+// would pin every answered request's timer for the whole budget.
+func (s *Server) wait(done <-chan struct{}, timeoutMS int) {
+	t := time.NewTimer(s.waitBudget(timeoutMS))
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-t.C:
+	}
+}
+
 // handleSubmit implements POST /v1/jobs: resolve, admit, and answer —
 // 200 for terminal jobs (cache hits, or wait=true runs that finish in
 // budget), 202 for jobs still in flight.
@@ -449,10 +462,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Wait {
-		select {
-		case <-j.done:
-		case <-time.After(s.waitBudget(req.TimeoutMS)):
-		}
+		s.wait(j.done, req.TimeoutMS)
 	}
 	status := http.StatusAccepted
 	if j.terminal() {
@@ -473,10 +483,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("wait") == "true" {
 		ms, _ := strconv.Atoi(r.URL.Query().Get("timeout_ms"))
-		select {
-		case <-j.done:
-		case <-time.After(s.waitBudget(ms)):
-		}
+		s.wait(j.done, ms)
 	}
 	writeJSON(w, http.StatusOK, j.View(true))
 }
@@ -588,15 +595,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	if req.Wait {
-		deadline := time.After(s.waitBudget(req.TimeoutMS))
+		deadline := time.NewTimer(s.waitBudget(req.TimeoutMS))
 	wait:
 		for _, j := range b.Jobs {
 			select {
 			case <-j.done:
-			case <-deadline:
+			case <-deadline.C:
 				break wait
 			}
 		}
+		deadline.Stop()
 	}
 	v := b.View()
 	status := http.StatusAccepted

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -786,4 +787,51 @@ func TestSyncWaitTimeout(t *testing.T) {
 		t.Fatalf("long poll: status %d state %s error %s", status, jv.State, jv.Error)
 	}
 	_ = fmt.Sprintf // keep fmt imported if assertions above change
+}
+
+// TestWaitReleasesTimer: a wait=true request answered before its wait
+// budget expires must not leave its timer live. Under the module's
+// go 1.22 timer rules an unstopped time.After timer is retained until
+// it fires, so every answered request would pin one for the full
+// (default 60 s) budget and a busy server's live heap would grow with
+// its request rate.
+func TestWaitReleasesTimer(t *testing.T) {
+	const requests = 4096
+	s := New(Config{Workers: 1})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	body := mustJSON(t, map[string]any{"spec": smallSpec(81, 2), "wait": true})
+	submit := func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("submit: status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	submit() // cold: runs the job and fills the cache cell
+
+	liveHeap := func() uint64 {
+		s.mu.Lock()
+		s.jobs = make(map[string]*Job)
+		s.mu.Unlock()
+		// Twice: the second collection also frees what the first only
+		// moved to the sync.Pool victim caches.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	for i := 0; i < requests; i++ {
+		submit() // cache hits, answered at once
+	}
+	after := liveHeap()
+	if after > before && (after-before)/requests > 64 {
+		t.Fatalf("live heap grew %d B over %d answered wait=true requests (%d B each); want at most 64 B each",
+			after-before, requests, (after-before)/requests)
+	}
 }

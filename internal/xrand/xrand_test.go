@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -19,11 +20,15 @@ var seeds = []int64{
 // rand.New(rand.NewSource(seed)) across every draw kind the simulator
 // uses. If this ever fails, the vendored generator has diverged from
 // math/rand and the determinism guarantee (DESIGN.md §8) is void.
+//
+// The raw draws run past three register lengths, so they cross the
+// feed/tap wrap where words computed lazily from the seed meet words
+// the generator has already written back.
 func TestStreamMatchesMathRand(t *testing.T) {
 	for _, seed := range seeds {
 		got := rand.New(NewSource(seed))
 		want := rand.New(rand.NewSource(seed))
-		for i := 0; i < 2000; i++ {
+		for i := 0; i < 3*rngLen+100; i++ {
 			if g, w := got.Int63(), want.Int63(); g != w {
 				t.Fatalf("seed %d draw %d: Int63 = %d, want %d", seed, i, g, w)
 			}
@@ -44,73 +49,47 @@ func TestStreamMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestReseedRestoresExactState pins the cache path: re-seeding a used
-// Source to an earlier seed (a memo hit) must restore the exact
-// post-seed state, indistinguishable from a cold seed.
+// TestReseedRestoresExactState: re-seeding a used Source, at any
+// point of its stream, must restore the exact post-seed state —
+// indistinguishable from a fresh math/rand source. The offsets stop
+// before, at and past the first feed/tap wrap and past a full register
+// cycle, so a reseed finds the register partly and wholly written back.
 func TestReseedRestoresExactState(t *testing.T) {
+	offsets := []int{0, 1, 5, rngTap, rngLen - rngTap, rngLen, rngLen + 1, 2*rngLen + 3}
 	s := NewSource(7)
 	r := rand.New(s)
-	for _, seed := range seeds {
-		// Pollute the register so a buggy restore would show.
-		for i := 0; i < 777; i++ {
-			r.Int63()
-		}
-		r.Seed(seed) // second time around this hits the memo
-		want := rand.New(rand.NewSource(seed))
-		for i := 0; i < 1000; i++ {
-			if g, w := r.Int63(), want.Int63(); g != w {
-				t.Fatalf("reseed %d draw %d: %d, want %d", seed, i, g, w)
+	for _, off := range offsets {
+		for _, seed := range seeds {
+			for i := 0; i < off; i++ {
+				r.Int63()
 			}
-		}
-	}
-	// Every seed was re-seeded through rand.Rand.Seed; run the set
-	// again to exercise pure memo hits.
-	for _, seed := range seeds {
-		r.Seed(seed)
-		want := rand.New(rand.NewSource(seed))
-		for i := 0; i < 100; i++ {
-			if g, w := r.Int63(), want.Int63(); g != w {
-				t.Fatalf("memo-hit reseed %d draw %d: %d, want %d", seed, i, g, w)
+			r.Seed(seed)
+			want := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2*rngLen; i++ {
+				if g, w := r.Int63(), want.Int63(); g != w {
+					t.Fatalf("reseed %d after %d draws, draw %d: %d, want %d", seed, off, i, g, w)
+				}
 			}
 		}
 	}
 }
 
-// TestCacheBound keeps the memo from growing without limit.
-func TestCacheBound(t *testing.T) {
-	s := NewSource(0)
-	for i := int64(0); i < maxCachedSeeds+100; i++ {
-		s.Seed(i)
-	}
-	if len(s.states) > maxCachedSeeds {
-		t.Fatalf("cache grew to %d entries, cap %d", len(s.states), maxCachedSeeds)
-	}
-	// Seeds beyond the cap still seed correctly, just uncached.
-	s.Seed(maxCachedSeeds + 50)
-	want := rand.New(rand.NewSource(maxCachedSeeds + 50))
-	got := rand.New(s)
-	for i := 0; i < 100; i++ {
-		if g, w := got.Int63(), want.Int63(); g != w {
-			t.Fatalf("uncached seed draw %d: %d, want %d", i, g, w)
-		}
-	}
-}
+// benchSink keeps the benchmarked draws observable.
+var benchSink uint64
 
-func BenchmarkSeedCold(b *testing.B) {
-	s := &Source{}
-	for i := 0; i < b.N; i++ {
-		s.states = nil
-		s.Seed(int64(i))
-	}
-}
-
-func BenchmarkSeedCached(b *testing.B) {
-	s := NewSource(1)
-	for i := int64(0); i < 200; i++ {
-		s.Seed(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Seed(int64(i % 200))
+// BenchmarkSeedDraw measures one trial's RNG cost: a reseed followed by
+// the trial's draws — about 6 in a cache-benchmark trial and about 21
+// in an attack trial.
+func BenchmarkSeedDraw(b *testing.B) {
+	for _, draws := range []int{6, 21} {
+		b.Run(fmt.Sprintf("draws=%d", draws), func(b *testing.B) {
+			s := NewSource(1)
+			for i := 0; i < b.N; i++ {
+				s.Seed(int64(i))
+				for d := 0; d < draws; d++ {
+					benchSink += s.Uint64()
+				}
+			}
+		})
 	}
 }
