@@ -63,12 +63,12 @@ cachebench:
 	$(GO) test ./internal/scenario -run 'TestCacheMatrixGolden|TestCacheMatrixHashJobsInvariant' -count=1
 
 # Steady-state allocation budgets of the simulator hot loop, the
-# batched trial driver (DESIGN.md §10) and the cache-benchmark trial.
+# pooled attack trial (DESIGN.md §10) and the cache-benchmark trial.
 # Runs without -race: the race detector instruments allocations and
 # the tests exclude themselves under that build tag.
 alloc-budget:
 	$(GO) test ./internal/cpu -run TestMachineRunSteadyStateAllocs -count=1
-	$(GO) test ./internal/attacks -run TestBatchedTrialDisabledPathAllocs -count=1
+	$(GO) test ./internal/attacks -run TestTrialDisabledPathAllocs -count=1
 	$(GO) test ./internal/cachebench -run TestTrialSteadyStateAllocs -count=1
 
 # Bitmap-scheduler ordering gate: within a cycle, issue must stay
@@ -121,9 +121,8 @@ bench-runner:
 # compare against the recorded baseline in BENCH_core.json (fails
 # below the speedup/allocation budgets — >= 8x wall-clock and >= 10x
 # fewer allocations since the bitmap-scoreboard rework — or on any
-# metrics-export difference; the batched-vs-per-trial setup column is
-# re-measured alongside). `go run ./tools/benchcore -rebase` moves the
-# baseline.
+# metrics-export difference). `go run ./tools/benchcore -rebase` moves
+# the baseline.
 bench-core:
 	$(GO) run ./tools/benchcore -o BENCH_core.json
 

@@ -169,24 +169,23 @@ type probeMemo struct {
 
 // kernelImage resolves a kernel's compiled image through the env's
 // trial-state memo. A case reuses the same handful of kernels for every
-// trial, so after the first trial the lookup is a short linear scan
-// over comparable structs instead of a sync.Map hit, which boxes and
-// hashes the composite key on every call.
+// trial and the pool hands each state to trial after trial, so once a
+// state has served one trial the lookup is a short linear scan over
+// comparable structs instead of a sync.Map hit, which boxes and hashes
+// the composite key on every call.
 func (e *env) kernelImage(volatile bool, p kernelParams) (*isa.Image, error) {
 	ts := e.ts
-	if ts != nil {
-		for i := range ts.kmemo {
-			m := &ts.kmemo[i]
-			if m.volatile == volatile && m.p == p {
-				return m.img, nil
-			}
+	for i := range ts.kmemo {
+		m := &ts.kmemo[i]
+		if m.volatile == volatile && m.p == p {
+			return m.img, nil
 		}
 	}
 	img, err := buildKernelCached(volatile, p)
 	if err != nil {
 		return nil, err
 	}
-	if ts != nil && len(ts.kmemo) < memoCap {
+	if len(ts.kmemo) < memoCap {
 		ts.kmemo = append(ts.kmemo, kernelMemo{volatile: volatile, p: p, img: img})
 	}
 	return img, nil
@@ -196,18 +195,16 @@ func (e *env) kernelImage(volatile bool, p kernelParams) (*isa.Image, error) {
 // keyed by probe address.
 func (e *env) probeImage(addr uint64) (*isa.Image, error) {
 	ts := e.ts
-	if ts != nil {
-		for i := range ts.pmemo {
-			if ts.pmemo[i].addr == addr {
-				return ts.pmemo[i].img, nil
-			}
+	for i := range ts.pmemo {
+		if ts.pmemo[i].addr == addr {
+			return ts.pmemo[i].img, nil
 		}
 	}
 	img, err := buildProbeCached(addr)
 	if err != nil {
 		return nil, err
 	}
-	if ts != nil && len(ts.pmemo) < memoCap {
+	if len(ts.pmemo) < memoCap {
 		ts.pmemo = append(ts.pmemo, probeMemo{addr: addr, img: img})
 	}
 	return img, nil

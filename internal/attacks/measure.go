@@ -9,11 +9,6 @@ import (
 	"vpsec/internal/stats"
 )
 
-// cpuNoise builds the jitter model for a given DRAM jitter level.
-func cpuNoise(memJitter uint64) cpu.Noise {
-	return cpu.Noise{MemJitter: memJitter, HitJitter: 2}
-}
-
 // CaseResult is the evaluation of one (category, channel, predictor,
 // defense) cell, matching how the paper reports Figs. 5/8 and
 // Table III: timing distributions for the mapped and unmapped cases, a
@@ -245,7 +240,8 @@ func NoiseSweep(cat core.Category, jitters []uint64, base Options) ([]NoisePoint
 	var out []NoisePoint
 	for _, j := range jitters {
 		opt := base
-		opt.Noise = cpuNoise(j)
+		opt.Noise = cpu.DefaultNoise()
+		opt.Noise.MemJitter = j
 		r, err := Run(cat, opt)
 		if err != nil {
 			return nil, err

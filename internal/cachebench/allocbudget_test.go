@@ -6,14 +6,18 @@
 
 package cachebench
 
-import "testing"
+import (
+	"testing"
+
+	"vpsec/internal/cpu"
+)
 
 // TestTrialSteadyStateAllocs: once the pattern's programs are compiled
 // and a trial rig is pooled, a trial allocates nothing — the hierarchy
 // and the re-seeded jitter generator are both recycled.
 func TestTrialSteadyStateAllocs(t *testing.T) {
 	p := Pattern{FAA, VU, AA, RelLine}
-	noise := DefaultNoise()
+	noise := cpu.DefaultNoise()
 	seed := int64(1)
 	trial := func() {
 		seed += 2

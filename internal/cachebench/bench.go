@@ -35,7 +35,8 @@ type Options struct {
 	// Jobs bounds concurrent trials (RunCase) or cases (RunMatrix); 0
 	// means all cores. Results are identical at every value.
 	Jobs int
-	// Noise is the access-latency jitter model; zero means DefaultNoise.
+	// Noise is the access-latency jitter model; zero means
+	// cpu.DefaultNoise, the attack harness's model.
 	Noise cpu.Noise
 	// Metrics, when non-nil, receives the runner's per-trial counters.
 	Metrics *metrics.Registry
@@ -49,7 +50,7 @@ func (o Options) withDefaults() Options {
 		o.Runs = 100
 	}
 	if o.Noise == (cpu.Noise{}) {
-		o.Noise = DefaultNoise()
+		o.Noise = cpu.DefaultNoise()
 	}
 	return o
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"vpsec/internal/cpu"
 )
 
 // TestFamilyCount pins the enumeration: 11^3 step triples filtered by
@@ -156,11 +158,11 @@ func TestAddressLayout(t *testing.T) {
 // seed, noise).
 func TestTrialDeterministic(t *testing.T) {
 	p := Pattern{FAA, VU, AA, RelLine}
-	a, err := p.Trial(true, 42, DefaultNoise())
+	a, err := p.Trial(true, 42, cpu.DefaultNoise())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Trial(true, 42, DefaultNoise())
+	b, err := p.Trial(true, 42, cpu.DefaultNoise())
 	if err != nil {
 		t.Fatal(err)
 	}

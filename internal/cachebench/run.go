@@ -1,14 +1,15 @@
 // The timed stepper: a minimal sequential interpreter that executes a
-// lowered benchmark program against an internal/mem hierarchy, charging
-// one cycle per instruction plus the hierarchy's access latencies and
-// the standard jitter model. The benchmark programs are straight-line
-// loads/flushes around rdtsc pairs; the full out-of-order machine in
-// internal/cpu would add predictor and pipeline effects that are the
-// *subject* of the source paper but confounders here — the benchmark
-// paper's three-step model is about cache state alone. The stepper's
-// jitter draws come from a pooled internal/xrand source, re-seeded per
-// trial: stream-identical to a fresh math/rand source, without
-// math/rand's per-seed register fill or allocation.
+// lowered benchmark program against the attack evaluation's own
+// hierarchy (mem.DefaultHierarchy, minus the TLB), charging one cycle
+// per instruction plus the hierarchy's access latencies and the
+// pipeline's jitter (cpu.Noise.Draw). The benchmark programs are
+// straight-line loads/flushes around rdtsc pairs; the full out-of-order
+// machine in internal/cpu would add predictor and pipeline effects that
+// are the *subject* of the source paper but confounders here — the
+// benchmark paper's three-step model is about cache state alone. The
+// stepper's jitter draws come from a pooled internal/xrand source,
+// re-seeded per trial: stream-identical to a fresh math/rand source,
+// without math/rand's per-seed register fill or allocation.
 
 package cachebench
 
@@ -34,27 +35,6 @@ const (
 	FlushCachedExtra uint64 = 12
 )
 
-// DefaultNoise is the benchmark's jitter model — identical to the
-// attack harness default (attacks.Options.WithDefaults): up to 12
-// extra cycles on DRAM-served accesses, up to 2 on hits and flushes.
-func DefaultNoise() cpu.Noise { return cpu.Noise{MemJitter: 12, HitJitter: 2} }
-
-// newHierarchy builds the benchmark hierarchy: the evaluation's L1
-// (64x8x64B, 3 cycles) and L2 (512x8x64B, 12 cycles) over 150-cycle
-// DRAM, with no TLB and no prefetcher — timing differences are pure
-// cache effects (see Limitations).
-func newHierarchy() *mem.Hierarchy {
-	l1, err := mem.NewCache(mem.CacheConfig{Name: "L1D", Sets: 64, Ways: 8, LineBytes: 64, HitLatency: 3})
-	if err != nil {
-		panic(err)
-	}
-	l2, err := mem.NewCache(mem.CacheConfig{Name: "L2", Sets: 512, Ways: 8, LineBytes: 64, HitLatency: 12})
-	if err != nil {
-		panic(err)
-	}
-	return &mem.Hierarchy{L1: l1, L2: l2, Mem: mem.NewMemory(150)}
-}
-
 // trialRig is the pooled per-trial machinery: a hierarchy and the
 // jitter generator. A family run executes hundreds of thousands of
 // short programs, and the line arrays, memory pages and generator state
@@ -65,7 +45,11 @@ type trialRig struct {
 }
 
 var rigPool = sync.Pool{New: func() any {
-	return &trialRig{h: newHierarchy(), rng: rand.New(xrand.NewSource(0))}
+	// The evaluation's hierarchy without the TLB: timing differences
+	// are pure cache effects (see Limitations).
+	h := mem.DefaultHierarchy()
+	h.TLB = nil
+	return &trialRig{h: h, rng: rand.New(xrand.NewSource(0))}
 }}
 
 // Trial executes one arm of the pattern's program pair under the given
@@ -134,7 +118,7 @@ func runProgram(prog *isa.Program, h *mem.Hierarchy, rng *rand.Rand, noise cpu.N
 		case isa.LOAD:
 			addr := regs[in.Src1] + uint64(in.Imm)
 			lat, served := h.Access(addr, true)
-			cycle += lat + jitter(rng, noise, served == mem.LevelMem)
+			cycle += lat + noise.Draw(rng, served == mem.LevelMem)
 			regs[in.Dst] = h.Mem.Read(addr)
 		case isa.STORE:
 			h.Mem.Write(regs[in.Src1]+uint64(in.Imm), regs[in.Src2])
@@ -145,7 +129,7 @@ func runProgram(prog *isa.Program, h *mem.Hierarchy, rng *rand.Rand, noise cpu.N
 				lat += FlushCachedExtra
 			}
 			h.Flush(addr)
-			cycle += lat + jitter(rng, noise, false)
+			cycle += lat + noise.Draw(rng, false)
 		default:
 			return fmt.Errorf("cachebench: %s@%d: op %s unsupported by the benchmark stepper", prog.Name, pc, in.Op)
 		}
@@ -154,17 +138,4 @@ func runProgram(prog *isa.Program, h *mem.Hierarchy, rng *rand.Rand, noise cpu.N
 		}
 	}
 	return fmt.Errorf("cachebench: %s ran off the end", prog.Name)
-}
-
-// jitter draws the access-latency noise, mirroring the pipeline's model
-// (cpu/pipeline.go): uniform [0, MemJitter] on DRAM-served accesses,
-// uniform [0, HitJitter] otherwise.
-func jitter(rng *rand.Rand, noise cpu.Noise, dram bool) uint64 {
-	if dram && noise.MemJitter > 0 {
-		return uint64(rng.Int63n(int64(noise.MemJitter) + 1))
-	}
-	if !dram && noise.HitJitter > 0 {
-		return uint64(rng.Int63n(int64(noise.HitJitter) + 1))
-	}
-	return 0
 }

@@ -20,7 +20,10 @@
 //     no-prediction vs misprediction latencies.
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // EffectsPolicy selects when a speculative load's side effects become
 // visible to the memory hierarchy — the knob behind the pipeline-hook
@@ -179,6 +182,25 @@ func (c Config) Validate() error {
 type Noise struct {
 	MemJitter uint64 // extra cycles on accesses served by DRAM
 	HitJitter uint64 // extra cycles on cache hits
+}
+
+// DefaultNoise is the evaluation's jitter model, shared by the attack
+// harness, the RSA attack and the cache benchmark: up to 12 extra
+// cycles on DRAM-served accesses, up to 2 on every other access.
+func DefaultNoise() Noise { return Noise{MemJitter: 12, HitJitter: 2} }
+
+// Draw returns one access's jitter: uniform in [0, MemJitter] when the
+// access was served by DRAM, uniform in [0, HitJitter] otherwise. A
+// zero bound draws nothing from rng.
+func (n Noise) Draw(rng *rand.Rand, dram bool) uint64 {
+	bound := n.HitJitter
+	if dram {
+		bound = n.MemJitter
+	}
+	if bound == 0 {
+		return 0
+	}
+	return uint64(rng.Int63n(int64(bound) + 1))
 }
 
 // VirtPCBytes is the byte size of one instruction slot: predictor

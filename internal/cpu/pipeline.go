@@ -942,10 +942,7 @@ func (p *pipeline) issueMem(e *entry, idx int, now uint64) (bool, error) {
 	// the hierarchy — near-L1 latency, no cache state, no MSHR, and no
 	// VPS engagement (like any other hit, the value is simply there).
 	if sh := p.m.Shadow; sh != nil && sh.Lookup(e.paddr) {
-		lat := sh.Latency
-		if p.m.Noise.HitJitter > 0 {
-			lat += uint64(p.m.Rng.Int63n(int64(p.m.Noise.HitJitter) + 1))
-		}
+		lat := sh.Latency + p.m.Noise.Draw(p.m.Rng, false)
 		e.needInstall = true
 		e.actual = p.m.Hier.Mem.Read(e.paddr)
 		e.result = e.actual
@@ -968,11 +965,7 @@ func (p *pipeline) issueMem(e *entry, idx int, now uint64) (bool, error) {
 	if DebugTrace {
 		dbg("%d: issue LOAD pc=%d paddr=%#x served=%v lat=%d", now, e.pc, e.paddr, served, lat)
 	}
-	if served == mem.LevelMem && p.m.Noise.MemJitter > 0 {
-		lat += uint64(p.m.Rng.Int63n(int64(p.m.Noise.MemJitter) + 1))
-	} else if served != mem.LevelMem && p.m.Noise.HitJitter > 0 {
-		lat += uint64(p.m.Rng.Int63n(int64(p.m.Noise.HitJitter) + 1))
-	}
+	lat += p.m.Noise.Draw(p.m.Rng, served == mem.LevelMem)
 	if !install {
 		e.needInstall = true
 		if sh := p.m.Shadow; sh != nil && served != mem.LevelL1 {

@@ -16,19 +16,13 @@ const (
 	conflictWays   = 8       // both levels are 8-way
 )
 
-// benchHierarchy mirrors the cachebench configuration: default L1/L2
-// geometry, no TLB, no prefetcher.
+// benchHierarchy is the cachebench configuration: the default
+// hierarchy without its TLB, no prefetcher.
 func benchHierarchy(t *testing.T) *Hierarchy {
 	t.Helper()
-	l1, err := NewCache(CacheConfig{Name: "L1D", Sets: 64, Ways: 8, LineBytes: 64, HitLatency: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := NewCache(CacheConfig{Name: "L2", Sets: 512, Ways: 8, LineBytes: 64, HitLatency: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Hierarchy{L1: l1, L2: l2, Mem: NewMemory(150)}
+	h := DefaultHierarchy()
+	h.TLB = nil
+	return h
 }
 
 // alias returns the k-th conflict-set member (k=0 is the base line).
@@ -129,10 +123,7 @@ func TestConflictSetEviction(t *testing.T) {
 // on: the 32 KiB stride maps every alias line into the base line's set
 // at both geometries, on distinct lines.
 func TestConflictStrideCongruence(t *testing.T) {
-	for _, cfg := range []CacheConfig{
-		{Name: "L1D", Sets: 64, Ways: 8, LineBytes: 64},
-		{Name: "L2", Sets: 512, Ways: 8, LineBytes: 64},
-	} {
+	for _, cfg := range []CacheConfig{defaultL1, defaultL2} {
 		c, err := NewCache(cfg)
 		if err != nil {
 			t.Fatal(err)

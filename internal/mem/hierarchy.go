@@ -267,22 +267,11 @@ func NewMulticore(n int) []*Hierarchy {
 	if n < 1 {
 		n = 1
 	}
-	l2, err := NewCache(CacheConfig{Name: "L2", Sets: 512, Ways: 8, LineBytes: 64, HitLatency: 12})
-	if err != nil {
-		panic(err)
-	}
-	shared := NewMemory(150)
+	l2 := mustCache(defaultL2)
+	shared := NewMemory(defaultDRAMLatency)
 	out := make([]*Hierarchy, n)
 	for i := range out {
-		l1, err := NewCache(CacheConfig{Name: "L1D", Sets: 64, Ways: 8, LineBytes: 64, HitLatency: 3})
-		if err != nil {
-			panic(err)
-		}
-		tlb, err := NewTLB(TLBConfig{Entries: 64, PageBytes: 4096, HitLatency: 0, MissLatency: 20})
-		if err != nil {
-			panic(err)
-		}
-		out[i] = &Hierarchy{L1: l1, L2: l2, TLB: tlb, Mem: shared}
+		out[i] = &Hierarchy{L1: mustCache(defaultL1), L2: l2, TLB: mustTLB(defaultTLB), Mem: shared}
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -322,23 +311,41 @@ func (h *Hierarchy) invalidatePeers(addr uint64) {
 	}
 }
 
-// DefaultHierarchy builds the configuration used throughout the
-// evaluation: 32 KiB 8-way L1 (3 cycles), 256 KiB 8-way L2 (12
-// cycles), 150-cycle DRAM, 64-entry TLB with a 20-cycle walk.
+// The configuration used throughout the evaluation, written once for
+// DefaultHierarchy and NewMulticore: 32 KiB 8-way L1 (3 cycles),
+// 256 KiB 8-way L2 (12 cycles), 150-cycle DRAM, 64-entry TLB with a
+// 20-cycle walk.
+var (
+	defaultL1  = CacheConfig{Name: "L1D", Sets: 64, Ways: 8, LineBytes: 64, HitLatency: 3}
+	defaultL2  = CacheConfig{Name: "L2", Sets: 512, Ways: 8, LineBytes: 64, HitLatency: 12}
+	defaultTLB = TLBConfig{Entries: 64, PageBytes: 4096, HitLatency: 0, MissLatency: 20}
+)
+
+const defaultDRAMLatency = 150
+
+// mustCache and mustTLB build the fixed default configs, which are
+// valid by construction.
+func mustCache(cfg CacheConfig) *Cache {
+	c, err := NewCache(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+func mustTLB(cfg TLBConfig) *TLB {
+	t, err := NewTLB(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// DefaultHierarchy builds one core's hierarchy in the evaluation's
+// configuration (see defaultL1).
 func DefaultHierarchy() *Hierarchy {
-	l1, err := NewCache(CacheConfig{Name: "L1D", Sets: 64, Ways: 8, LineBytes: 64, HitLatency: 3})
-	if err != nil {
-		panic(err)
-	}
-	l2, err := NewCache(CacheConfig{Name: "L2", Sets: 512, Ways: 8, LineBytes: 64, HitLatency: 12})
-	if err != nil {
-		panic(err)
-	}
-	tlb, err := NewTLB(TLBConfig{Entries: 64, PageBytes: 4096, HitLatency: 0, MissLatency: 20})
-	if err != nil {
-		panic(err)
-	}
-	return &Hierarchy{L1: l1, L2: l2, TLB: tlb, Mem: NewMemory(150)}
+	return &Hierarchy{L1: mustCache(defaultL1), L2: mustCache(defaultL2),
+		TLB: mustTLB(defaultTLB), Mem: NewMemory(defaultDRAMLatency)}
 }
 
 // Access performs a demand access to physical address addr: it returns

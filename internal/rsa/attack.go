@@ -43,7 +43,7 @@ func (o *AttackOptions) setDefaults() {
 		o.SyncEpoch = 330_000
 	}
 	if o.Noise == (cpu.Noise{}) {
-		o.Noise = cpu.Noise{MemJitter: 12, HitJitter: 2}
+		o.Noise = cpu.DefaultNoise()
 	}
 }
 

@@ -255,7 +255,8 @@ func executeCacheBench(ctx context.Context, s Spec) (*Result, error) {
 		Trace:   s.Trace,
 	}
 	if s.MemJitter != nil {
-		opt.Noise = cpu.Noise{MemJitter: *s.MemJitter, HitJitter: 2}
+		opt.Noise = cpu.DefaultNoise()
+		opt.Noise.MemJitter = *s.MemJitter
 	}
 	if s.Kind == KindCacheBench {
 		p, err := cachebench.ParsePattern(s.Pattern)

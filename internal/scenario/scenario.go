@@ -332,7 +332,8 @@ func (s *Spec) options() (attacks.Options, error) {
 		Trace:       s.Trace,
 	}
 	if s.MemJitter != nil {
-		opt.Noise = cpu.Noise{MemJitter: *s.MemJitter, HitJitter: 2}
+		opt.Noise = cpu.DefaultNoise()
+		opt.Noise.MemJitter = *s.MemJitter
 	}
 	return opt, nil
 }

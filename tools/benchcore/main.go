@@ -56,17 +56,6 @@ type Record struct {
 	Baseline Measure `json:"baseline"` // pre-optimization core (benchcore -rebase)
 	Current  Measure `json:"current"`
 
-	// PerTrialSetup re-measures the same sweep on the same build with
-	// the batched sequential driver disabled
-	// (attacks.Options.PerTrialSetup): every trial takes the sync.Pool
-	// round trip instead of recycling one held machine through the whole
-	// case. The column isolates what batching itself buys, on top of the
-	// core-level optimizations the baseline comparison captures; its
-	// metrics export must be byte-identical too (batching is a pure
-	// wall-clock optimization).
-	PerTrialSetup  Measure `json:"per_trial_setup"`
-	BatchedSpeedup float64 `json:"batched_speedup"` // per-trial seconds / batched seconds
-
 	Speedup          float64 `json:"speedup"`           // baseline seconds / current seconds
 	AllocRatio       float64 `json:"alloc_ratio"`       // baseline allocs/instr / current allocs/instr
 	MetricsIdentical bool    `json:"metrics_identical"` // byte-identical exports across the two builds
@@ -76,9 +65,8 @@ type Record struct {
 }
 
 // sweep runs the Fig. 5 Train+Test cells once at -jobs 1 and returns
-// the wall time plus the registry the run published into. perTrial
-// opts out of the batched sequential driver (the comparison column).
-func sweep(runs int, perTrial bool) (*metrics.Registry, float64, error) {
+// the wall time plus the registry the run published into.
+func sweep(runs int) (*metrics.Registry, float64, error) {
 	reg := metrics.NewRegistry()
 	start := time.Now()
 	for _, pk := range []attacks.PredictorKind{attacks.NoVP, attacks.LVP} {
@@ -86,7 +74,6 @@ func sweep(runs int, perTrial bool) (*metrics.Registry, float64, error) {
 			opt := attacks.Options{
 				Predictor: pk, Channel: ch,
 				Runs: runs, Seed: 1, Jobs: 1, Metrics: reg,
-				PerTrialSetup: perTrial,
 			}
 			if _, err := attacks.Run(core.TrainTest, opt); err != nil {
 				return nil, 0, fmt.Errorf("%v/%v: %w", ch, pk, err)
@@ -99,13 +86,13 @@ func sweep(runs int, perTrial bool) (*metrics.Registry, float64, error) {
 // measure runs the sweep count times and keeps the best wall clock;
 // cycle, instruction, allocation and export identities are the same on
 // every run (the whole point), so they are taken from the first.
-func measure(runs, count int, perTrial bool) (Measure, error) {
+func measure(runs, count int) (Measure, error) {
 	var m Measure
 	for i := 0; i < count; i++ {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		reg, sec, err := sweep(runs, perTrial)
+		reg, sec, err := sweep(runs)
 		if err != nil {
 			return m, err
 		}
@@ -142,27 +129,20 @@ func main() {
 
 	// One untimed warmup sweep: the first run through a fresh process
 	// pays for compiling and caching the kernel images and the first GC
-	// growth. Without it the batched measurement (taken first) absorbs
-	// that cold start and the per-trial comparison column reads as a
-	// spurious win for the pool path.
-	if _, _, err := sweep(*runs, false); err != nil {
+	// growth, which would otherwise land in the first timed run.
+	if _, _, err := sweep(*runs); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcore:", err)
 		os.Exit(1)
 	}
 
-	cur, err := measure(*runs, *count, false)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcore:", err)
-		os.Exit(1)
-	}
-	perTrial, err := measure(*runs, *count, true)
+	cur, err := measure(*runs, *count)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcore:", err)
 		os.Exit(1)
 	}
 
 	// The speedup budget tracks the recorded trajectory: the arena/ring
-	// overhaul held >= 2x, the bitmap-scoreboard + batched-trial rework
+	// overhaul held >= 2x, the bitmap-scoreboard + trial-pool rework
 	// holds >= 8x against the same pre-optimization baseline (measured
 	// ~10-11x; the margin absorbs machine noise).
 	rec := Record{Runs: *runs, Count: *count, SpeedupBudget: 8, AllocRatioBudget: 10}
@@ -186,14 +166,11 @@ func main() {
 		rec.Baseline = old.Baseline
 	}
 	rec.Current = cur
-	rec.PerTrialSetup = perTrial
-	rec.BatchedSpeedup = perTrial.Seconds / cur.Seconds
 	rec.Speedup = rec.Baseline.Seconds / cur.Seconds
 	if cur.AllocsPerInstr > 0 {
 		rec.AllocRatio = rec.Baseline.AllocsPerInstr / cur.AllocsPerInstr
 	}
-	rec.MetricsIdentical = rec.Baseline.MetricsSHA256 == cur.MetricsSHA256 &&
-		perTrial.MetricsSHA256 == cur.MetricsSHA256
+	rec.MetricsIdentical = rec.Baseline.MetricsSHA256 == cur.MetricsSHA256
 	rec.Pass = rec.MetricsIdentical &&
 		rec.Speedup >= rec.SpeedupBudget &&
 		rec.AllocRatio >= rec.AllocRatioBudget
@@ -211,9 +188,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchcore:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("baseline %.2fs (%.3f allocs/instr), current %.2fs (%.3f allocs/instr), per-trial setup %.2fs: speedup %.2fx (batched %.2fx), alloc ratio %.1fx, identical=%v, pass=%v -> %s\n",
+	fmt.Printf("baseline %.2fs (%.3f allocs/instr), current %.2fs (%.3f allocs/instr): speedup %.2fx, alloc ratio %.1fx, identical=%v, pass=%v -> %s\n",
 		rec.Baseline.Seconds, rec.Baseline.AllocsPerInstr, cur.Seconds, cur.AllocsPerInstr,
-		perTrial.Seconds, rec.Speedup, rec.BatchedSpeedup, rec.AllocRatio, rec.MetricsIdentical, rec.Pass, *out)
+		rec.Speedup, rec.AllocRatio, rec.MetricsIdentical, rec.Pass, *out)
 	if !rec.Pass {
 		os.Exit(1)
 	}
