@@ -10,6 +10,7 @@
 package vpsec_test
 
 import (
+	"context"
 	"testing"
 
 	"vpsec/internal/attacks"
@@ -378,7 +379,7 @@ func BenchmarkTableIIVariants(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		effective := 0
 		for _, v := range variants {
-			r, err := attacks.RunVariant(v, attacks.Options{Runs: benchRuns, Seed: 9})
+			r, err := attacks.RunVariant(context.Background(), v, attacks.Options{Runs: benchRuns, Seed: 9})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -396,7 +397,7 @@ func BenchmarkTableIIVariants(b *testing.B) {
 // BenchmarkSMTVolatile measures the co-runner volatile channel.
 func BenchmarkSMTVolatile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := attacks.RunTestHitVolatileSMT(attacks.Options{Runs: benchRuns, Seed: 6})
+		r, err := attacks.RunTestHitVolatileSMT(context.Background(), attacks.Options{Runs: benchRuns, Seed: 6})
 		if err != nil {
 			b.Fatal(err)
 		}

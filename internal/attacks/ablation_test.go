@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -280,7 +281,7 @@ func TestConfidenceSweep(t *testing.T) {
 // works identically (Sec. II: the miss "can be forced by a malicious
 // attacker that invalidates or flushes the cache").
 func TestEvictionBasedTrainTest(t *testing.T) {
-	vp, err := RunTrainTestEviction(Options{Predictor: LVP, Channel: core.TimingWindow, Runs: 25, Seed: 61})
+	vp, err := RunTrainTestEviction(context.Background(), Options{Predictor: LVP, Channel: core.TimingWindow, Runs: 25, Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestEvictionBasedTrainTest(t *testing.T) {
 	if vp.SuccessRate < 0.9 {
 		t.Errorf("success %.2f, want >= 0.9", vp.SuccessRate)
 	}
-	novp, err := RunTrainTestEviction(Options{Predictor: NoVP, Channel: core.TimingWindow, Runs: 25, Seed: 61})
+	novp, err := RunTrainTestEviction(context.Background(), Options{Predictor: NoVP, Channel: core.TimingWindow, Runs: 25, Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"reflect"
@@ -95,7 +96,7 @@ func TestRunVariantJobsDeterminism(t *testing.T) {
 	runAt := func(jobs int) (CaseResult, string) {
 		reg := metrics.NewRegistry()
 		opt := Options{Predictor: LVP, Runs: 8, Seed: 7, Jobs: jobs, Metrics: reg}
-		r, err := RunVariant(v, opt)
+		r, err := RunVariant(context.Background(), v, opt)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

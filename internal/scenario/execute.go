@@ -116,7 +116,7 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := attacks.RunVariant(v, opt)
+		c, err := attacks.RunVariant(ctx, v, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +124,7 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 
 	case KindEviction:
 		opt.Channel = core.TimingWindow
-		c, err := attacks.RunTrainTestEviction(opt)
+		c, err := attacks.RunTrainTestEviction(ctx, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +135,7 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := attacks.RunVolatileSMT(cat, opt)
+		c, err := attacks.RunVolatileSMT(ctx, cat, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -82,7 +83,7 @@ func TestExecuteVariantMatchesRunVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := attacks.RunVariant(v, attacks.Options{Runs: small, Seed: 3})
+	want, err := attacks.RunVariant(context.Background(), v, attacks.Options{Runs: small, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestExecuteEvictionMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := attacks.RunTrainTestEviction(attacks.Options{Channel: core.TimingWindow, Runs: small, Seed: 5})
+	want, err := attacks.RunTrainTestEviction(context.Background(), attacks.Options{Channel: core.TimingWindow, Runs: small, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +112,35 @@ func TestExecuteSMTMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := attacks.RunVolatileSMT(core.TestHit, attacks.Options{
+	want, err := attacks.RunVolatileSMT(context.Background(), core.TestHit, attacks.Options{
 		Channel: core.Volatile, Runs: small, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameCase(t, "smt", res.Case(), want)
+}
+
+// TestExecuteCancelledAttackKinds: the variant, eviction and SMT kinds
+// honor Execute's context — a cancelled run returns the context error
+// and no result, never a partial one.
+func TestExecuteCancelledAttackKinds(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, spec := range []Spec{
+		{Kind: KindVariant, Variant: core.Reduce()[0].Pattern.String(), Runs: small, Seed: 3},
+		{Kind: KindEviction, Runs: small, Seed: 5},
+		{Kind: KindSMT, Category: string(core.TestHit), Channel: core.Volatile.String(), Runs: small, Seed: 2},
+	} {
+		for _, jobs := range []int{1, 4} {
+			spec.Jobs = jobs
+			res, err := Execute(ctx, spec)
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Errorf("%s at Jobs %d: got err=%v, result=%t; want context.Canceled and no result",
+					spec.Kind, jobs, err, res != nil)
+			}
+		}
+	}
 }
 
 // TestExecuteDefenseMatchesStrategy: a named-strategy defense spec

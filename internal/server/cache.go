@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sync"
+
+	"vpsec/internal/scenario"
 )
 
 // Store is the content-addressed result cache: canonical result bytes
@@ -90,17 +94,34 @@ func (s *DiskStore) path(key string) string {
 	return filepath.Join(s.dir, key+".json")
 }
 
-// Get reads the cached bytes for key.
+// Get reads the cached bytes for key. A file is a hit only if it is
+// the canonical result of the spec its key names: it must decode as a
+// scenario.Result whose spec hashes to key and whose CanonicalJSON
+// reproduces the file exactly. Anything else — a torn or hand-edited
+// file, or a valid result stored under another spec's key — is a miss,
+// so the job re-executes and Put overwrites the file. Job views splice
+// stored bytes verbatim, so nothing unverified may leave this tier.
 func (s *DiskStore) Get(key string) ([]byte, bool) {
 	p := s.path(key)
 	if p == "" {
 		return nil, false
 	}
 	data, err := os.ReadFile(p)
-	if err != nil {
+	if err != nil || !isCanonicalResult(key, data) {
 		return nil, false
 	}
 	return data, true
+}
+
+// isCanonicalResult reports whether data is exactly the canonical
+// result bytes of the spec whose hash is key.
+func isCanonicalResult(key string, data []byte) bool {
+	var r scenario.Result
+	if err := json.Unmarshal(data, &r); err != nil || r.Spec.Hash() != key {
+		return false
+	}
+	canon, err := r.CanonicalJSON()
+	return err == nil && bytes.Equal(canon, data)
 }
 
 // Put atomically writes data under key.
@@ -136,7 +157,8 @@ func (s *DiskStore) Len() int {
 
 // TieredStore layers a MemStore over a backing store (disk): gets hit
 // memory first and fill it from the backing tier, puts write through
-// to both.
+// to both. A DiskStore verifies what it returns, so the fill runs that
+// check once per key per process.
 type TieredStore struct {
 	mem  *MemStore
 	back Store

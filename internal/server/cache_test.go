@@ -2,16 +2,43 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vpsec/internal/core"
+	"vpsec/internal/scenario"
 )
 
 // sampleKey returns a well-formed cache key (sha256 hex).
 func sampleKey(b byte) string {
 	return strings.Repeat(fmt.Sprintf("%02x", b), 32)
+}
+
+// canonicalResult executes spec and returns its canonical result bytes.
+func canonicalResult(t *testing.T, spec scenario.Spec) []byte {
+	t.Helper()
+	res, err := scenario.Execute(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	data, err := res.CanonicalJSON()
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	return data
+}
+
+// sampleEntry executes a small case spec and returns its cache key and
+// canonical result bytes: the only kind of entry a DiskStore serves.
+func sampleEntry(t *testing.T, seed int64) (key string, data []byte) {
+	t.Helper()
+	spec := scenario.Spec{Kind: scenario.KindCase, Category: string(core.TrainTest), Runs: 2, Seed: seed}
+	return spec.Hash(), canonicalResult(t, spec)
 }
 
 // TestStoreRoundTrip: every Store implementation gets, puts, and
@@ -28,11 +55,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	for name, s := range stores {
 		t.Run(name, func(t *testing.T) {
-			key := sampleKey(0xab)
+			key, want := sampleEntry(t, 1)
 			if _, ok := s.Get(key); ok {
 				t.Fatal("empty store reported a hit")
 			}
-			want := []byte(`{"spec": {}}` + "\n")
 			if err := s.Put(key, want); err != nil {
 				t.Fatal(err)
 			}
@@ -72,8 +98,8 @@ func TestDiskStorePersistsAcrossInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := sampleKey(0x01)
-	if err := first.Put(key, []byte("result")); err != nil {
+	key, want := sampleEntry(t, 2)
+	if err := first.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +108,7 @@ func TestDiskStorePersistsAcrossInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, ok := second.Get(key)
-	if !ok || string(data) != "result" {
+	if !ok || !bytes.Equal(data, want) {
 		t.Fatalf("restart lost the entry: %q, %v", data, ok)
 	}
 
@@ -122,8 +148,8 @@ func TestDiskStoreRejectsMalformedKeys(t *testing.T) {
 // backing tier fills the memory tier.
 func TestTieredStoreFillsFromBack(t *testing.T) {
 	back := mustDisk(t)
-	key := sampleKey(0x42)
-	if err := back.Put(key, []byte("warm")); err != nil {
+	key, data := sampleEntry(t, 3)
+	if err := back.Put(key, data); err != nil {
 		t.Fatal(err)
 	}
 	tiered := NewTieredStore(back)
@@ -132,5 +158,80 @@ func TestTieredStoreFillsFromBack(t *testing.T) {
 	}
 	if _, ok := tiered.mem.Get(key); !ok {
 		t.Error("backing-tier hit did not fill the memory tier")
+	}
+}
+
+// TestDiskStoreVerifiesEntries: a cache file that is not the canonical
+// result of the spec its name hashes — garbage, a torn write, or a
+// valid result filed under another spec's key — is a miss. The server
+// then executes the job as a miss, answers with the correct result,
+// and rewrites the file with the canonical bytes.
+func TestDiskStoreVerifiesEntries(t *testing.T) {
+	spec := smallSpec(91, 4)
+	want, err := scenario.Parse(mustJSON(t, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, canon := want.Hash(), canonicalResult(t, want)
+	_, other := sampleEntry(t, 92)
+
+	for name, file := range map[string][]byte{
+		"garbage":   []byte("not a result\x00\xff"),
+		"truncated": canon[:len(canon)/2],
+		"other-key": other,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, key+".json")
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			disk, err := NewDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := disk.Get(key); ok {
+				t.Fatal("DiskStore served an unverified file")
+			}
+
+			_, ts := newTestServer(t, Config{Workers: 1, Store: NewTieredStore(disk)})
+			var jv JobView
+			if status := post(t, ts.Client(), ts.URL+"/v1/jobs", map[string]any{"spec": spec, "wait": true}, &jv); status != http.StatusOK {
+				t.Fatalf("status %d, want 200", status)
+			}
+			if jv.Cache != CacheMiss || jv.State != StateDone {
+				t.Fatalf("cache=%q state=%q, want miss and done", jv.Cache, jv.State)
+			}
+			if got := getRaw(t, ts.Client(), ts.URL+"/v1/jobs/"+jv.ID+"/result", http.StatusOK); !bytes.Equal(got, canon) {
+				t.Fatal("result differs from a fresh execution")
+			}
+			onDisk, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(onDisk, canon) {
+				t.Fatal("the unverified file was not rewritten with the canonical bytes")
+			}
+		})
+	}
+}
+
+// TestDiskStoreAcceptsRegistryResults: the verification round trip is
+// exact for the canonical result of every non-sim registry spec, so a
+// disk tier never turns a good entry into a permanent miss.
+func TestDiskStoreAcceptsRegistryResults(t *testing.T) {
+	n := 0
+	for _, spec := range scenario.All() {
+		if spec.Kind == scenario.KindSim {
+			continue
+		}
+		n++
+		spec.Runs, spec.Jobs = 4, 1
+		if !isCanonicalResult(spec.Hash(), canonicalResult(t, spec)) {
+			t.Errorf("%s: canonical result fails disk verification", spec.Name)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no registry specs checked")
 	}
 }

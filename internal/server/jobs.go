@@ -156,7 +156,9 @@ type JobView struct {
 	Progress *Progress `json:"progress,omitempty"`
 	// Error carries the failure message of a failed job.
 	Error string `json:"error,omitempty"`
-	// Result is the canonical scenario.Result JSON of a done job.
+	// Result is the canonical scenario.Result JSON of a done job. It
+	// must stay the last field: writeJobView splices the stored bytes
+	// in after the encoded envelope.
 	Result json.RawMessage `json:"result,omitempty"`
 }
 

@@ -30,6 +30,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -279,13 +280,62 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 }
 
 // writeJSON emits v as indented JSON (the canonical response form the
-// docs capture).
+// docs capture). Job views go through writeJobView, which produces the
+// same bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// viewBufs recycles the response buffers of writeJobView.
+var viewBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledView caps the buffers returned to viewBufs, so one large
+// matrix result does not stay pinned in the pool.
+const maxPooledView = 1 << 20
+
+// writeJobView emits v exactly as writeJSON would, without re-encoding
+// v.Result. The envelope is encoded with Result nil, which omitempty
+// drops and which leaves the body ending in "\n}\n"; the stored bytes
+// are then spliced in as the last field. They are canonical
+// MarshalIndent output, so indenting each of their lines one more
+// level reproduces the encoder's compact-and-reindent pass byte for
+// byte — at a fraction of its cost on a cache hit.
+func writeJobView(w http.ResponseWriter, status int, v JobView) {
+	result := v.Result
+	v.Result = nil
+	buf := viewBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+	if len(result) > 0 {
+		buf.Truncate(buf.Len() - len("\n}\n"))
+		buf.WriteString(",\n  \"result\": ")
+		rest := bytes.TrimSuffix(result, []byte("\n"))
+		for {
+			i := bytes.IndexByte(rest, '\n')
+			if i < 0 {
+				break
+			}
+			buf.Write(rest[:i+1])
+			buf.WriteString("  ")
+			rest = rest[i+1:]
+		}
+		buf.Write(rest)
+		buf.WriteString("\n}\n")
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	w.Write(buf.Bytes())
+	if buf.Cap() <= maxPooledView {
+		viewBufs.Put(buf)
+	}
 }
 
 // clientKey identifies the submitting client for admission control:
@@ -468,7 +518,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if j.terminal() {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, j.View(true))
+	writeJobView(w, status, j.View(true))
 }
 
 // handleJob implements GET /v1/jobs/{id}. With ?wait=true it blocks —
@@ -485,7 +535,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		ms, _ := strconv.Atoi(r.URL.Query().Get("timeout_ms"))
 		s.wait(j.done, ms)
 	}
-	writeJSON(w, http.StatusOK, j.View(true))
+	writeJobView(w, http.StatusOK, j.View(true))
 }
 
 // handleJobResult implements GET /v1/jobs/{id}/result: the bare
